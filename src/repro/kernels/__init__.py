@@ -4,7 +4,10 @@ The batched numpy execution layer (PR 2) left three loops numpy cannot
 fuse: the per-hash Bloom probe round-trips, the rank+get pair inside every
 LOUDS traversal step, and the per-node Python walks of the trie builders.
 This package exposes those loops as pure-function *kernels* served by one
-of several backends:
+of several backends.  :func:`bloom_contains_packed` extends the Bloom
+probe to many filters packed into one buffer, with per-item filter
+parameters, so an LSM level probes all its SSTs' Bloom layers in one call.
+The backends:
 
 * ``numpy`` — the vectorised reference implementation, always available;
   it defines kernel semantics and every other backend must match it
@@ -55,6 +58,7 @@ __all__ = [
     "bloom_positions",
     "bloom_add",
     "bloom_contains",
+    "bloom_contains_packed",
     "bitvector_get_rank1",
     "trie_levels",
     "merge_runs",
@@ -221,6 +225,38 @@ def bloom_contains(
     resolved = _resolve(backend)
     _count(resolved.name, "bloom_contains")
     return resolved.bloom_contains(buffer, num_bits, values, s1, s2, k)
+
+
+def bloom_contains_packed(
+    buffer: np.ndarray, values: np.ndarray, which: np.ndarray,
+    bit_offsets: np.ndarray, num_bits: np.ndarray, num_hashes: np.ndarray,
+    s1: np.ndarray, s2: np.ndarray, backend: str | None = None,
+) -> np.ndarray:
+    """:func:`bloom_contains` for items of many filters sharing one buffer.
+
+    Item ``j`` is probed in filter ``which[j]``; the per-filter tables give
+    its first bit in ``buffer`` (``bit_offsets``), its size (``num_bits``),
+    its hash count (``num_hashes``) and its premixed seeds (``s1``/``s2``).
+    Each answer equals :func:`bloom_contains` on that filter's own buffer.
+    The tables are checked against ``buffer`` here, once for every backend,
+    so a compiled loop never reads outside it.  Backends without a compiled
+    version are served by the numpy reference.
+    """
+    which = np.asarray(which, dtype=np.int64)
+    if which.size:
+        if which.min() < 0 or which.max() >= len(num_bits):
+            raise IndexError("filter index out of range in bloom_contains_packed")
+        if (np.asarray(num_bits) < 1).any() or (
+            np.asarray(bit_offsets) + np.asarray(num_bits) > buffer.size * 8
+        ).any():
+            raise ValueError("packed filter tables exceed the bit buffer")
+    resolved = _resolve(backend)
+    impl = getattr(resolved, "bloom_contains_packed", None)
+    if impl is None:
+        resolved = _backend("numpy")
+        impl = resolved.bloom_contains_packed
+    _count(resolved.name, "bloom_contains_packed")
+    return impl(buffer, values, which, bit_offsets, num_bits, num_hashes, s1, s2)
 
 
 def bitvector_get_rank1(

@@ -76,6 +76,14 @@ class _CcBackend:
             ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, _u8_p,
         ]
         lib.bloom_contains.restype = None
+        # Raw addresses: this kernel runs once per LSM level on small
+        # batches, where building ten typed pointers per call would cost
+        # more than the loop itself.
+        lib.bloom_contains_packed.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+            *[ctypes.c_void_p] * 6,
+        ]
+        lib.bloom_contains_packed.restype = None
         lib.bitvector_get_rank1.argtypes = [
             _u8_p, _i64_p, ctypes.c_int64, _i64_p, ctypes.c_int64, _u8_p, _i64_p,
         ]
@@ -101,6 +109,21 @@ class _CcBackend:
             v.size, s1, s2, k, _ptr(out, ctypes.c_uint8),
         )
         return out.view(bool)
+
+    def bloom_contains_packed(self, buffer, values, which, bit_offsets,
+                              num_bits, num_hashes, s1, s2):
+        arrays = [
+            np.ascontiguousarray(buffer, dtype=np.uint8),
+            np.ascontiguousarray(values, dtype=np.uint64),
+            np.ascontiguousarray(which, dtype=np.int64),
+            *(np.ascontiguousarray(t, dtype=np.int64)
+              for t in (bit_offsets, num_bits, num_hashes)),
+            *(np.ascontiguousarray(t, dtype=np.uint64) for t in (s1, s2)),
+            np.empty(len(values), dtype=np.uint8),
+        ]
+        addresses = [a.ctypes.data for a in arrays]
+        self._lib.bloom_contains_packed(*addresses[:3], len(values), *addresses[3:])
+        return arrays[-1].view(bool)
 
     def bitvector_get_rank1(self, buffer, cumulative, num_bits, positions):
         pos = np.ascontiguousarray(positions, dtype=np.int64)

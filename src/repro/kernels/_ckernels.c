@@ -66,6 +66,33 @@ void bloom_contains(const uint8_t *buf, uint64_t num_bits,
     }
 }
 
+/* Probe items of many filters packed into one buffer: item j belongs to
+ * filter f = which[j], whose bits start at bit bit_offset[f] of buf and
+ * whose parameters are num_bits[f], num_hashes[f] and the premixed seeds
+ * s1[f], s2[f].  Per item this is bloom_contains on that filter's slice. */
+void bloom_contains_packed(const uint8_t *buf, const uint64_t *values,
+                           const int64_t *which, int64_t n,
+                           const int64_t *bit_offset, const int64_t *num_bits,
+                           const int64_t *num_hashes, const uint64_t *s1,
+                           const uint64_t *s2, uint8_t *out) {
+    for (int64_t j = 0; j < n; j++) {
+        int64_t f = which[j];
+        uint64_t m = (uint64_t)num_bits[f];
+        uint64_t base = (uint64_t)bit_offset[f];
+        uint64_t k = (uint64_t)num_hashes[f];
+        uint64_t v = values[j];
+        uint64_t x = fmix64(v ^ s1[f]) % m;
+        uint64_t y = (fmix64(v ^ s2[f]) | 1ULL) % m;
+        uint8_t hit = get_bit(buf, base + x);
+        for (uint64_t i = 1; hit && i < k; i++) {
+            x = (x + y) % m;
+            y = (y + i) % m;
+            hit = get_bit(buf, base + x);
+        }
+        out[j] = hit;
+    }
+}
+
 /* Fused LOUDS step: bit value at pos and rank1(pos + 1), per position.
  * cum[b] holds the popcount of bytes [0, b); positions are in
  * [0, num_bits) (the caller validates). */

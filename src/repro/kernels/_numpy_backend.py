@@ -56,6 +56,39 @@ def bloom_contains(buffer: np.ndarray, num_bits: int, values: np.ndarray,
     return probed.reshape(positions.shape).all(axis=0)
 
 
+def bloom_contains_packed(buffer: np.ndarray, values: np.ndarray,
+                          which: np.ndarray, bit_offsets: np.ndarray,
+                          num_bits: np.ndarray, num_hashes: np.ndarray,
+                          s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """:func:`bloom_contains` over many filters packed into one buffer.
+
+    Value ``j`` is probed in filter ``f = which[j]``: the filter whose bits
+    start at bit ``bit_offsets[f]`` of ``buffer`` and whose parameters are
+    ``num_bits[f]``, ``num_hashes[f]`` and the premixed seeds ``s1[f]``,
+    ``s2[f]``.  The recurrence runs column-parallel up to the largest hash
+    count; a value stops contributing once its own filter's count is spent.
+    """
+    v = np.asarray(values).astype(np.uint64)
+    if v.size == 0:
+        return np.zeros(0, dtype=bool)
+    m = num_bits[which].astype(np.uint64)
+    k = num_hashes[which]
+    base = bit_offsets[which].astype(np.uint64)
+    x = mix64_many(v ^ s1[which]) % m
+    y = (mix64_many(v ^ s2[which]) | np.uint64(1)) % m
+
+    def probed(x: np.ndarray) -> np.ndarray:
+        idx = (base + x).astype(np.int64)
+        return (buffer[idx >> 3] & _BIT_MASKS[idx & 7]) != 0
+
+    hit = probed(x)
+    for i in range(1, int(k.max())):
+        x = (x + y) % m
+        y = (y + np.uint64(i)) % m
+        hit &= (k <= i) | probed(x)
+    return hit
+
+
 def bitvector_get_rank1(buffer: np.ndarray, cumulative: np.ndarray,
                         num_bits: int, positions: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:

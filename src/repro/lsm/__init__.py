@@ -9,6 +9,9 @@ reads*.
   slice of its level's array) with min/max fences and an optional filter;
 * :class:`~repro.lsm.tree.LSMTree` — leveled geometry, per-SST filter
   construction through :mod:`repro.api`, and batched probe routing;
+* :class:`~repro.lsm.levelpack.LevelPack` — one level's keys and filters
+  laid out so a probe answers all of the level's routed (query, SST) pairs
+  in one pass (packed Proteus tables, else one call per routed SST);
 * :class:`~repro.lsm.cost.CostModel` / :class:`~repro.lsm.cost.ProbeResult`
   — the I/O pricing (block read charged only on a filter positive) and the
   per-query accounting, including the paper's false-positive-block-read

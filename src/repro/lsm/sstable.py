@@ -19,6 +19,17 @@ query range actually contains one of its keys, via binary search on the
 slice.  The cost model compares filter answers against this to classify
 each charged block read as required or false-positive.
 
+:meth:`LSMTree.probe <repro.lsm.tree.LSMTree.probe>` no longer calls these
+per SST: it probes a whole level at once through a
+:class:`~repro.lsm.levelpack.LevelPack`, which computes the same truth from
+one search of the level's concatenated keys and packs integer-key Proteus
+filters into level-wide tables.  :meth:`probe_many` remains the path for
+levels a pack cannot represent (every other filter family, byte-key
+Proteus, wide keys); :meth:`matches_many` is the single-SST reference.
+A pack captures each SST's filter *object*, so :meth:`attach_filter` and
+:meth:`clear_filter` must replace the object rather than mutate it — that
+identity change is what tells the tree to rebuild the pack.
+
 Online SSTs (flush and compaction outputs, :mod:`repro.lsm.online`) carry
 an optional *tombstone* mask alongside the keys: a tombstoned entry
 records a delete that still shadows older entries for the same key in

@@ -18,11 +18,21 @@ This is the paper's end-to-end RocksDB experiment as a simulation:
   sample** — the paper's deployment, where each table self-designs against
   the system-wide sample.
 * **Probes** — :meth:`LSMTree.probe` replays a
-  :class:`~repro.workloads.batch.QueryBatch` through the tree with batched
-  routing: per level, two ``searchsorted`` calls locate each query's
-  fence-surviving SST interval; per SST, the surviving queries form one
-  sub-batch answered by a single vectorised filter call.  Accounting follows
-  :mod:`repro.lsm.cost`: a block read is charged only on a filter positive.
+  :class:`~repro.workloads.batch.QueryBatch` through the tree **one level
+  at a time**: two ``searchsorted`` calls locate each query's
+  fence-surviving SST interval, the intervals flatten into (query, SST)
+  pairs, and the level's :class:`~repro.lsm.levelpack.LevelPack` answers
+  every pair at once — exact truth from one search of the level's
+  concatenated keys, filter verdicts from one packed
+  :func:`repro.kernels.bloom_contains_packed` call when every filter in the
+  level is an integer-key Proteus (or absent).  Levels holding any other
+  filter — byte-key Proteus, the FST trie engine, the other families,
+  ``object``-dtype wide keys, trie keys too deep to pack — fall back to one
+  grouped ``probe_many`` call per routed SST, so their answers are those of
+  the per-SST loop.  A pack is rebuilt whenever an SST's filter object is
+  swapped (:meth:`~repro.lsm.levelpack.LevelPack.is_current`), so packs
+  never go stale.  Accounting follows :mod:`repro.lsm.cost`: a block read
+  is charged only on a filter positive.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import numpy as np
 from repro.api import FilterSpec, Workload, build_filter, derive_sst_specs
 from repro.filters.base import ragged_ranges
 from repro.lsm.cost import CostModel, ProbeResult, SstStats
+from repro.lsm.levelpack import LevelPack
 from repro.lsm.sstable import SSTable
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
@@ -42,6 +53,16 @@ from repro.workloads.batch import (
 from repro.workloads.keyset import KeySet
 
 __all__ = ["LSMTree"]
+
+#: The per-pair flags ``probe`` folds into :class:`ProbeResult`, in the
+#: order of its flag tuples (candidates are the pairs themselves).
+_PAIR_FIELDS = (
+    "filter_probes",
+    "blocks_read",
+    "required_reads",
+    "false_positive_reads",
+    "missed_reads",
+)
 
 #: Default SST capacity in keys.
 DEFAULT_SST_KEYS = 512
@@ -93,6 +114,9 @@ class LSMTree:
             mins = np.array([sst.min_key for sst in level], dtype=dtype)
             maxs = np.array([sst.max_key for sst in level], dtype=dtype)
             self._fences.append((mins, maxs))
+        # Level packs are built on a level's first routed probe and rebuilt
+        # whenever an SST's filter object changes (LevelPack.is_current).
+        self._packs: list[LevelPack | None] = [None] * len(levels)
 
     # ------------------------------------------------------------------ #
     # Construction                                                       #
@@ -199,9 +223,13 @@ class LSMTree:
         """Replay a query batch through the tree and return the accounting.
 
         Per level, each query's fence-surviving SSTs form a contiguous
-        interval (``first[q] <= j < last[q]``); per SST, the queries routed
-        to it are answered with one vectorised filter call and classified
-        against the SST's exact ground truth.
+        interval (``first[q] <= j < last[q]``); the interval flattens into
+        (query, SST) pairs, and the level's
+        :class:`~repro.lsm.levelpack.LevelPack` answers all of them at once —
+        exact truth from one level-wide search, filter verdicts from one
+        packed call (or, for a level the pack cannot represent, one grouped
+        call per routed SST).
+        Per-query counts fold back with ``np.bincount`` over the pairs.
 
         ``trace`` optionally records every routed (query, SST) pair as a
         :class:`~repro.obs.trace.ProbeEvent` — fence survival, filter
@@ -212,14 +240,16 @@ class LSMTree:
         (keyed by the SST object itself), the granularity the per-SST
         drift monitors consume — pass the same dict across probes to
         accumulate over a stream.  Both hooks cost one ``is None`` check
-        per routed SST group when unused.
+        per level when unused.
         """
         batch = coerce_query_batch(queries, self.width)
-        result = ProbeResult.zeros(len(batch), len(self.levels))
-        if len(batch) == 0:
+        n = len(batch)
+        result = ProbeResult.zeros(n, len(self.levels))
+        if n == 0:
             return result
+        pair_queries = []
+        pair_flags = []
         for level_index, level in enumerate(self.levels):
-            stats = result.per_level[level_index]
             mins, maxs = self._fences[level_index]
             # First SST whose max fence reaches lo; first whose min exceeds hi.
             first = np.searchsorted(maxs, batch.los, side="left")
@@ -227,60 +257,57 @@ class LSMTree:
             active = last > first
             if not active.any():
                 continue
-            # Flatten the (query, SST) routing pairs and group them by SST,
-            # so the work below is proportional to the routed pairs — not to
-            # num_ssts * num_queries, which a point-heavy batch over a wide
-            # bottom level would make mostly wasted all-False masks.
-            active_queries = np.nonzero(active)[0]
+            # Flatten the routing intervals into (query, SST) pairs, so the
+            # work is proportional to the routed pairs, query-major.
+            queries_hit = np.flatnonzero(active)
             lengths = (last - first)[active]
-            flat_sst, _ = ragged_ranges(first[active], lengths)
-            flat_query = np.repeat(active_queries, lengths)
-            order = np.argsort(flat_sst, kind="stable")
-            flat_sst = flat_sst[order]
-            flat_query = flat_query[order]
-            boundaries = np.nonzero(np.diff(flat_sst))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [flat_sst.size]])
-            for start, end in zip(starts, ends):
-                sst = level[int(flat_sst[start])]
-                query_indices = flat_query[start:end]
-                sub = batch.select(query_indices)
-                truth = sst.matches_many(sub.los, sub.his)
-                positives = sst.probe_many(sub)
-                filtered = sst.filter is not None
-                result.candidates[query_indices] += 1
-                if filtered:
-                    result.filter_probes[query_indices] += 1
-                result.blocks_read[query_indices] += positives
-                result.required_reads[query_indices] += truth
-                result.false_positive_reads[query_indices] += positives & ~truth
-                result.missed_reads[query_indices] += truth & ~positives
-                if trace is not None:
-                    trace.record_sst(
-                        level_index,
-                        int(flat_sst[start]),
-                        query_indices,
-                        positives,
-                        truth,
-                        filtered,
-                    )
-                stats.candidates += int(query_indices.size)
-                stats.filter_probes += int(query_indices.size) if filtered else 0
-                stats.blocks_read += int(positives.sum())
-                stats.required_reads += int(truth.sum())
-                stats.false_positive_reads += int((positives & ~truth).sum())
-                stats.missed_reads += int((truth & ~positives).sum())
-                if sst_stats is not None:
-                    per_sst = sst_stats.setdefault(sst, SstStats())
-                    per_sst.candidates += int(query_indices.size)
-                    per_sst.filter_probes += (
-                        int(query_indices.size) if filtered else 0
-                    )
-                    per_sst.blocks_read += int(positives.sum())
-                    per_sst.required_reads += int(truth.sum())
-                    per_sst.false_positive_reads += int((positives & ~truth).sum())
-                    per_sst.missed_reads += int((truth & ~positives).sum())
+            sst, _ = ragged_ranges(first[active], lengths)
+            query = np.repeat(queries_hit, lengths)
+            pack = self._level_pack(level_index)
+            truth = pack.truth(batch, queries_hit, lengths, sst)
+            positives = pack.positives(batch, query, sst)
+            filtered = pack.filtered[sst]
+            false_positive = positives & ~truth
+            missed = truth & ~positives
+            flags = (filtered, positives, truth, false_positive, missed)
+            pair_queries.append(query)
+            pair_flags.append(flags)
+            stats = result.per_level[level_index]
+            stats.candidates = int(query.size)
+            for name, flag in zip(_PAIR_FIELDS, flags):
+                setattr(stats, name, int(np.count_nonzero(flag)))
+            if trace is not None:
+                trace.record_pairs(level_index, sst, query, positives, truth, filtered)
+            if sst_stats is not None:
+                self._fold_sst_stats(level, sst, flags, sst_stats)
+        if not pair_queries:
+            return result
+        query = np.concatenate(pair_queries)
+        result.candidates[:] = np.bincount(query, minlength=n)
+        for name, column in zip(_PAIR_FIELDS, zip(*pair_flags)):
+            flag = np.concatenate(column)
+            getattr(result, name)[:] = np.bincount(query[flag], minlength=n)
         return result
+
+    def _level_pack(self, level_index: int) -> LevelPack:
+        """The level's pack, rebuilt when any SST's filter object changed."""
+        level = self.levels[level_index]
+        pack = self._packs[level_index]
+        if pack is None or not pack.is_current(level):
+            pack = self._packs[level_index] = LevelPack(level, self.width)
+        return pack
+
+    @staticmethod
+    def _fold_sst_stats(level, sst, flags, sst_stats) -> None:
+        """Add one level's per-pair flags into the per-SST accumulators."""
+        size = len(level)
+        candidates = np.bincount(sst, minlength=size)
+        columns = [np.bincount(sst[flag], minlength=size) for flag in flags]
+        for j in np.flatnonzero(candidates).tolist():
+            per_sst = sst_stats.setdefault(level[j], SstStats())
+            per_sst.candidates += int(candidates[j])
+            for name, column in zip(_PAIR_FIELDS, columns):
+                setattr(per_sst, name, getattr(per_sst, name) + int(column[j]))
 
     # ------------------------------------------------------------------ #
     # Accounting and introspection                                       #

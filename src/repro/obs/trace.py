@@ -17,13 +17,15 @@ Two kinds of state are kept deliberately separate:
   history scrolled away, and the totals stay exact regardless.
 
 Tracing is opt-in (``tree.probe(batch, trace=ProbeTrace())``); the
-untraced probe path pays one ``is None`` check per routed SST group.
+untraced probe path pays one ``is None`` check per routed level.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = ["ProbeEvent", "ProbeTrace"]
 
@@ -68,33 +70,39 @@ class ProbeTrace:
         self.totals: dict[str, int] = {name: 0 for name in TRACE_FIELDS}
 
     # ------------------------------------------------------------------ #
-    # Recording (called by LSMTree.probe per routed SST group)           #
+    # Recording (called by LSMTree.probe once per routed level)          #
     # ------------------------------------------------------------------ #
 
-    def record_sst(
-        self, level: int, sst: int, query_indices, positives, truth, filtered: bool
-    ) -> None:
-        """Record one SST's routed sub-batch.
+    def record_pairs(self, level: int, ssts, queries, positives, truth, filtered) -> None:
+        """Record one level's routed (query, SST) pairs.
 
-        ``query_indices``/``positives``/``truth`` are the aligned arrays
-        the probe loop already has in hand; totals update with vectorised
-        sums, then each pair is appended to the ring.
+        The aligned per-pair arrays are the ones the probe already holds:
+        SST index, query index, filter verdict, ground truth and whether a
+        filter was consulted.  Totals update with vectorised sums over every
+        pair.  Events enter the ring SST-major (ascending query within an
+        SST, the order a per-SST probe visits them); only the newest
+        ``capacity`` of them can survive, so only those are materialised.
         """
-        count = int(len(query_indices))
+        count = int(len(queries))
         totals = self.totals
         totals["candidates"] += count
-        if filtered:
-            totals["filter_probes"] += count
+        totals["filter_probes"] += int(filtered.sum())
         totals["blocks_read"] += int(positives.sum())
         totals["required_reads"] += int(truth.sum())
         totals["false_positive_reads"] += int((positives & ~truth).sum())
         totals["missed_reads"] += int((truth & ~positives).sum())
         self.num_events += count
-        append = self._events.append
-        for query, positive, matched in zip(
-            query_indices.tolist(), positives.tolist(), truth.tolist()
-        ):
-            append(ProbeEvent(query, level, sst, filtered, positive, matched))
+        order = np.argsort(ssts, kind="stable")[-self.capacity :]
+        self._events.extend(
+            ProbeEvent(query, level, sst, filt, positive, matched)
+            for sst, query, filt, positive, matched in zip(
+                ssts[order].tolist(),
+                queries[order].tolist(),
+                filtered[order].tolist(),
+                positives[order].tolist(),
+                truth[order].tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # Inspection                                                         #

@@ -36,6 +36,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.lsm.levelpack import level_key_array
 from repro.lsm.sstable import SSTable
 from repro.lsm.tree import LSMTree
 from repro.workloads.batch import EncodedKeySet
@@ -175,8 +176,9 @@ def snapshot_tree(
       worker separately from the shared key buffers.
 
     Each level's SSTs are re-concatenated into one fresh array before
-    sharing: SSTs within a level are disjoint and ordered, so the
-    concatenation is itself a sorted distinct run and the per-SST views
+    sharing (:func:`~repro.lsm.levelpack.level_key_array`, the layout a
+    level pack probes): SSTs within a level are disjoint and ordered, so
+    the concatenation is itself a sorted distinct run and the per-SST views
     reconstruct as plain slices — the aliasing contract, now across a
     process boundary.
     """
@@ -184,21 +186,16 @@ def snapshot_tree(
     segments: list[shared_memory.SharedMemory] = []
     filters: list = []
     for level in tree.levels:
-        bounds: list[int] = [0]
-        for sst in level:
-            bounds.append(bounds[-1] + len(sst))
-            filters.append(sst.filter)
+        filters.extend(sst.filter for sst in level)
         if not level:
-            level_specs.append({"keys": None, "bounds": bounds, "tombstones": None})
+            level_specs.append({"keys": None, "bounds": [0], "tombstones": None})
             continue
+        keys, bounds = level_key_array(level)
         sample = level[0].keys
         if isinstance(sample, ByteKeySet):
-            padded = np.concatenate([sst.keys.keys for sst in level])
-            level_keys: KeySet = ByteKeySet._from_padded(padded, sample.max_length)
+            level_keys: KeySet = ByteKeySet._from_padded(keys, sample.max_length)
         else:
-            level_keys = EncodedKeySet(
-                np.concatenate([sst.keys.keys for sst in level]), tree.width
-            )
+            level_keys = EncodedKeySet(keys, tree.width)
         keys_spec, keys_segments = share_key_set(level_keys)
         segments.extend(keys_segments)
         tombstones_spec = None
@@ -207,7 +204,11 @@ def snapshot_tree(
             tombstones_spec, mask_segment = _share_array(mask)
             segments.append(mask_segment)
         level_specs.append(
-            {"keys": keys_spec, "bounds": bounds, "tombstones": tombstones_spec}
+            {
+                "keys": keys_spec,
+                "bounds": bounds.tolist(),
+                "tombstones": tombstones_spec,
+            }
         )
     spec = {
         "width": tree.width,

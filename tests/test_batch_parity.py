@@ -38,6 +38,8 @@ from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.rosetta import Rosetta
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
+from repro.lsm import LSMTree
+from repro.lsm.levelpack import ProteusPack
 from repro.workloads.batch import QueryBatch
 
 WIDTH = 32
@@ -459,6 +461,53 @@ def test_bloom_bulk_equals_scalar(workload):
     assert scalar.inserted_items == bulk.inserted_items
     answers = bulk.contains_many(np.array(probes, dtype=np.int64))
     assert list(answers) == [scalar.contains(key) for key in probes]
+
+
+@pytest.fixture(scope="module")
+def packed_level(workload):
+    """The deepest level of a small Proteus LSM tree, packed."""
+    keys, queries, _ = workload
+    w = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+    tree = LSMTree.build(w.keys, sst_keys=128, fanout=4, seed=71)
+    tree.attach_filters(FilterSpec("proteus", 12.0), w)
+    level = tree.levels[-1]
+    pack = ProteusPack.build(level, WIDTH)
+    assert pack is not None and pack.bloom_words.size
+    return level, pack, QueryBatch.from_pairs(queries, WIDTH)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_packed_bloom_kernel_equals_each_sst_bloom(backend, packed_level, workload):
+    # The per-item-parameter kernel over a level's packed Bloom layers must
+    # answer every probe exactly like that SST's own BloomFilter.
+    level, pack, _ = packed_level
+    _, _, probes = workload
+    rows = np.flatnonzero(pack.bloom_row >= 0)
+    which = np.repeat(rows, len(probes))
+    # Each SST's own l2-prefixes of the probes: present keys hit.
+    values = np.array(probes, dtype=np.int64)[np.tile(np.arange(len(probes)), rows.size)]
+    values >>= WIDTH - pack.l2[which]
+    with kernels.use_backend(backend):
+        got = kernels.bloom_contains_packed(
+            pack.bloom_words, values, pack.bloom_row[which], pack.bloom_offsets,
+            pack.bloom_bits, pack.bloom_hashes, pack.bloom_s1, pack.bloom_s2,
+        )
+        for sst_index in rows.tolist():
+            mask = which == sst_index
+            want = level[sst_index].filter._bloom.contains_many(values[mask])
+            assert (got[mask] == want).all(), (backend, sst_index)
+    assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_packed_proteus_equals_each_sst_filter(backend, packed_level):
+    level, pack, batch = packed_level
+    with kernels.use_backend(backend):
+        for sst_index, sst in enumerate(level):
+            got = pack.answer(
+                batch.los, batch.his, np.full(len(batch), sst_index, dtype=np.int64)
+            )
+            assert (got == sst.filter.may_intersect_many(batch)).all(), sst_index
 
 
 class TestModelParity:

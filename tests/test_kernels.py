@@ -201,6 +201,96 @@ def test_compiled_bloom_kernels_are_bit_identical(backend):
     assert (want == got).all()
 
 
+def _packed_blooms(seed: int = 7):
+    """Several differently sized Bloom filters packed into one buffer.
+
+    Returns ``(blooms, tables, values, which)``: ``tables`` are the
+    ``bloom_contains_packed`` arguments after ``values``/``which``; the
+    probes mix inserted items with random ones across every filter.
+    """
+    rng = np.random.default_rng(seed)
+    blooms, inserted = [], []
+    for index, num_bits in enumerate((9, 64, 1_001, 4_096, 30_011)):
+        items = rng.integers(0, 1 << 40, size=int(rng.integers(1, 300)))
+        bloom = BloomFilter(num_bits, items.size, seed=index * 7 + 1)
+        bloom.add_many(items)
+        blooms.append(bloom)
+        inserted.append(items)
+    words = [bloom.bits.words() for bloom in blooms]
+    sizes = np.array([w.size * 8 for w in words], dtype=np.int64)
+    tables = (
+        np.concatenate(words),
+        np.cumsum(sizes) - sizes,
+        np.array([b.num_bits for b in blooms], dtype=np.int64),
+        np.array([b.num_hashes for b in blooms], dtype=np.int64),
+        np.array([b._s1 for b in blooms], dtype=np.uint64),
+        np.array([b._s2 for b in blooms], dtype=np.uint64),
+    )
+    which = rng.integers(0, len(blooms), size=3_000)
+    values = rng.integers(0, 1 << 40, size=which.size)
+    hit = rng.random(which.size) < 0.5
+    for row in np.flatnonzero(hit):
+        items = inserted[which[row]]
+        values[row] = items[rng.integers(0, items.size)]
+    return blooms, tables, values, which
+
+
+def test_packed_bloom_kernel_matches_each_filters_contains_many():
+    blooms, (buffer, *tables), values, which = _packed_blooms()
+    got = kernels.bloom_contains_packed(buffer, values, which, *tables, backend="numpy")
+    for index, bloom in enumerate(blooms):
+        rows = which == index
+        assert (got[rows] == bloom.contains_many(values[rows])).all(), index
+    assert got.any() and not got.all()
+    empty = kernels.bloom_contains_packed(
+        buffer, values[:0], which[:0], *tables, backend="numpy"
+    )
+    assert empty.dtype == bool and empty.size == 0
+
+
+def test_packed_bloom_kernel_validates_its_tables():
+    _, (buffer, offsets, num_bits, *rest), values, which = _packed_blooms()
+    with pytest.raises(IndexError):
+        kernels.bloom_contains_packed(
+            buffer, values[:1], np.array([len(num_bits)]), offsets, num_bits, *rest
+        )
+    with pytest.raises(ValueError, match="exceed"):
+        kernels.bloom_contains_packed(
+            buffer, values, which, offsets + 8, num_bits, *rest
+        )
+
+
+def test_packed_bloom_kernel_falls_back_to_numpy_where_missing(monkeypatch):
+    # A backend without the packed kernel (numba, say) is served by numpy.
+    _, (buffer, *tables), values, which = _packed_blooms()
+    stub = type("Stub", (), {"name": "stub"})()
+    monkeypatch.setattr(kernels, "_forced", stub)
+    registry = MetricsRegistry()
+    kernels.attach_metrics(registry)
+    try:
+        got = kernels.bloom_contains_packed(buffer, values, which, *tables)
+    finally:
+        kernels.attach_metrics(None)
+    counters = registry.to_dict()["counters"]
+    assert counters == {"kernels.dispatch.numpy.bloom_contains_packed": 1}
+    monkeypatch.undo()
+    want = kernels.bloom_contains_packed(
+        buffer, values, which, *tables, backend="numpy"
+    )
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_compiled_packed_bloom_kernel_is_bit_identical(backend):
+    _, (buffer, *tables), values, which = _packed_blooms(seed=13)
+    want = kernels.bloom_contains_packed(
+        buffer, values, which, *tables, backend="numpy"
+    )
+    got = kernels.bloom_contains_packed(buffer, values, which, *tables, backend=backend)
+    assert got.dtype == bool
+    assert (want == got).all()
+
+
 @pytest.mark.parametrize("backend", COMPILED)
 def test_compiled_bitvector_kernel_is_bit_identical(backend):
     rng = np.random.default_rng(6)

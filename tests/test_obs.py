@@ -185,6 +185,35 @@ class TestProbeTrace:
         assert trace.dropped == trace.num_events - 64
         assert trace.dropped > 0
         assert trace.reconcile(result) == []  # totals never evicted
+        # The ring keeps exactly the newest events an uncapped trace saw.
+        full = ProbeTrace(capacity=trace.num_events)
+        filtered_tree.probe(workload.queries, trace=full)
+        assert full.dropped == 0
+        assert trace.events() == full.events()[-64:]
+
+    def test_record_pairs_orders_sst_major_and_evicts_oldest(self):
+        trace = ProbeTrace(capacity=3)
+        ssts = np.array([1, 0, 1, 0])
+        queries = np.array([0, 1, 1, 2])
+        positives = np.array([True, False, True, True])
+        truth = np.array([True, False, False, False])
+        filtered = np.array([True, True, False, False])
+        trace.record_pairs(2, ssts, queries, positives, truth, filtered)
+        assert trace.num_events == 4 and trace.dropped == 1
+        # SST-major: (sst 0: q1, q2), (sst 1: q0, q1); q1@sst0 evicted.
+        assert [(e.sst, e.query) for e in trace.events()] == [(0, 2), (1, 0), (1, 1)]
+        assert trace.events()[0] == (2, 2, 0, False, True, False)
+        assert trace.totals == {
+            "candidates": 4,
+            "filter_probes": 2,
+            "blocks_read": 3,
+            "required_reads": 1,
+            "false_positive_reads": 2,
+            "missed_reads": 0,
+        }
+        trace.record_pairs(3, ssts[:1], queries[:1], truth[:1], truth[:1], filtered[:1])
+        assert trace.num_events == 5 and trace.dropped == 2
+        assert trace.events()[-1] == (0, 3, 1, True, True, True)
 
     def test_reconcile_reports_every_mismatching_field(
         self, filtered_tree, workload
@@ -331,7 +360,7 @@ class TestDisabledOverhead:
         self, filtered_tree, workload
     ):
         # The overhead contract: with instrumentation off (the defaults),
-        # the probe path pays one `is None` check per routed SST group.
+        # the probe path pays one `is None` check per routed level.
         # Results must be identical; wall-clock must be statistically
         # indistinguishable (min-of-5, generous 1.5x bound for CI noise).
         batch = workload.queries
